@@ -77,7 +77,7 @@ if [[ "$run_chaos" -eq 1 ]]; then
 
   echo "== chaos: fault-injection + robustness suites =="
   ctest --test-dir build-chaos --output-on-failure -j "$(nproc)" \
-    -R '^(FaultPlan|FaultInjector|MachineFaultSession|FaultChaos|GuestStudy|GuestController|CheckpointPolicy|ControllerFixture|TraceSalvage)'
+    -R '^(FaultPlan|FaultInjector|MachineFaultSession|FaultedWalk|FaultChaos|GuestStudy|GuestController|CheckpointPolicy|ControllerFixture|TraceSalvage)'
 fi
 
 if [[ "$run_crash" -eq 1 ]]; then

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Determinism lint: the simulation core must be a pure function of its
 # seeds.  Reject sources of hidden nondeterminism in the deterministic
-# subtree (src/fgcs/{sim,os,core,fault,fleet,monitor,workload,util}):
+# subtree (src/fgcs/{sim,os,core,fault,fleet,monitor,workload,util,...}):
 #
 #   - wall-clock reads   (std::chrono clocks, time(), gettimeofday, ...)
 #   - libc / hardware RNG (rand, srand, random_device) — all randomness
@@ -27,10 +27,12 @@ cd "$(dirname "$0")/.."
 # timing lives in bench/ and tools/, outside this subtree); query joined
 # with the streaming analytics engine (a parallel segment scan must fold
 # to bit-identical aggregates regardless of worker count or timing —
-# scan-throughput clocks live in bench/ and tools/).
+# scan-throughput clocks live in bench/ and tools/); testkit joined when
+# the per-sample reference walk moved there (an oracle must be as
+# deterministic as the code it checks).
 DIRS=(src/fgcs/sim src/fgcs/os src/fgcs/core src/fgcs/fault src/fgcs/fleet
       src/fgcs/monitor src/fgcs/workload src/fgcs/util src/fgcs/recover
-      src/fgcs/serve src/fgcs/query)
+      src/fgcs/serve src/fgcs/query src/fgcs/testkit)
 
 # pattern<TAB>human-readable reason
 RULES=$(cat <<'EOF'

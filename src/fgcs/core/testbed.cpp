@@ -1,14 +1,12 @@
 #include "fgcs/core/testbed.hpp"
 
 #include <algorithm>
-#include <mutex>
 #include <optional>
+#include <span>
 
 #include "fgcs/fault/injector.hpp"
 #include "fgcs/monitor/detector.hpp"
-#include "fgcs/monitor/machine_sampler.hpp"
 #include "fgcs/obs/observer.hpp"
-#include "fgcs/sim/simulation.hpp"
 #include "fgcs/util/error.hpp"
 #include "fgcs/util/parallel.hpp"
 
@@ -26,140 +24,85 @@ void TestbedConfig::validate() const {
 
 namespace {
 
-/// Per-machine fault-injection state while walking: the live session plus
-/// the dropout bookkeeping the sampling loop needs to report sensor gaps
-/// once per dropout (not once per missed sample).
-struct FaultRuntime {
-  fault::MachineFaultSession session;
-  bool dropped = false;
-  sim::SimTime last_sample_time;
-
-  FaultRuntime(const fault::FaultInjector& injector, trace::MachineId machine,
-               sim::SimTime begin)
-      : session(injector, machine), last_sample_time(begin) {}
+/// One edge of a window fault (crash, dropout, skew) in the walk's
+/// breakpoint column: its start (`sign` +1: activates the fault and counts
+/// fault.injected) or its end (`sign` -1). Edges at one instant apply in
+/// `seq` order (start 2k, end 2k+1 for the machine's k-th window fault),
+/// all before the sample at that instant.
+struct FaultEdge {
+  std::int64_t t_us;
+  std::uint32_t seq;
+  std::int32_t sign;
+  const fault::FaultEvent* event;
 };
 
-/// Drives the detector over a machine's synthesized load, invoking
-/// `on_sample(sample, state)` for every observation. Sampling runs as a
-/// periodic task on a per-machine sim::Simulation — the same event loop
-/// the iShare monitor tier uses — so the observability layer sees the
-/// testbed's event execution, and each machine's trace events land on its
-/// own track. `injector` (nullable) layers the config's fault plan on
-/// top: crashes flip service_alive, dropouts swallow samples (reported to
-/// the detector as sensor gaps), and clock-skew blips shift the reported
-/// sample timestamps (kept monotone and inside the horizon).
-template <typename OnSample>
-monitor::UnavailabilityDetector walk_machine(
-    const TestbedConfig& config, trace::MachineId machine,
-    const fault::FaultInjector* injector, OnSample&& on_sample) {
-  const auto load = workload::generate_machine_load(
-      config.profile, config.seed, machine, config.days,
-      static_cast<int>(config.start_dow));
+/// A machine's fault state between edges, plus the monitor-clock
+/// bookkeeping: whether samples were lost since the last reported one,
+/// and that sample's (skewed, clamped) time.
+struct FaultState {
+  int crashes = 0;
+  int dropouts = 0;
+  std::int64_t skew_us = 0;
+  bool dropped = false;
+  std::int64_t last_us = 0;
 
-  monitor::TrajectorySampler sampler(load, config.ram_mb, config.kernel_mb);
-  monitor::UnavailabilityDetector detector(config.policy);
-
-  const obs::TrackScope track(machine);
-  const sim::SimTime begin = sim::SimTime::epoch();
-  const sim::SimTime end = begin + sim::SimDuration::days(config.days);
-  const sim::SimDuration period = config.policy.sample_period;
-
-  sim::Simulation simulation;
-  std::optional<FaultRuntime> fault_state;
-  FaultRuntime* faults = nullptr;
-  if (injector != nullptr) {
-    fault_state.emplace(*injector, machine, begin);
-    faults = &*fault_state;
-    faults->session.schedule(simulation);
-  }
-
-  // Bundled so the periodic callback captures two pointers and stays
-  // within the event queue's inline (allocation-free) budget.
-  struct WalkLoop {
-    monitor::TrajectorySampler& sampler;
-    monitor::UnavailabilityDetector& detector;
-    sim::Simulation& simulation;
-    FaultRuntime* faults;
-    sim::SimTime end;
-    sim::SimDuration period;
-  } loop{sampler, detector, simulation, faults, end, period};
-
-  simulation.every(period, [&loop, &on_sample] {
-    const sim::SimTime now = loop.simulation.now();
-    FaultRuntime* const fr = loop.faults;
-    if (fr != nullptr && fr->session.dropout_active()) {
-      fr->dropped = true;  // sample lost; gap reported on resume
-      return;
-    }
-    monitor::HostSample sample = loop.sampler.sample(now, loop.period);
-    if (fr != nullptr) {
-      if (fr->session.crash_active()) sample.service_alive = false;
-      // The monitor reads current load but timestamps it with its skewed
-      // clock; keep reported times monotone and inside the horizon. The
-      // monotone clamp applies even when no skew is active right now: a
-      // positive skew that just ended may have pushed last_sample_time
-      // past this sample's raw time.
-      if (fr->session.skew() != sim::SimDuration::zero()) {
-        sample.time = now + fr->session.skew();
+  void apply(const FaultEdge& edge) {
+    const fault::FaultEvent& ev = *edge.event;
+    crashes += ev.kind == fault::FaultKind::kCrash ? edge.sign : 0;
+    dropouts += ev.kind == fault::FaultKind::kSensorDropout ? edge.sign : 0;
+    skew_us += edge.sign * ev.skew.as_micros();  // zero unless a skew
+    if (edge.sign > 0) {
+      if (auto* o = obs::observer()) {
+        o->on_fault_injected(static_cast<int>(ev.kind), ev.start, ev.duration);
       }
-      sample.time =
-          std::min(loop.end, std::max(sample.time, fr->last_sample_time));
-      if (fr->dropped) {
-        // The gap must end exactly where observation resumes — in the
-        // monitor's (possibly skewed) clock, not the simulation's —
-        // or a negative skew would timestamp this sample before the
-        // gap end. A gap the skew collapses to nothing is dropped.
-        if (sample.time > fr->last_sample_time) {
-          loop.detector.record_gap(fr->last_sample_time, sample.time);
-        }
-        fr->dropped = false;
-      }
-      fr->last_sample_time = sample.time;
     }
-    const monitor::AvailabilityState state = loop.detector.observe(sample);
-    on_sample(sample, state);
-  });
-  simulation.run_until(end);
-  if (faults != nullptr && faults->dropped &&
-      faults->last_sample_time < end) {
-    detector.record_gap(faults->last_sample_time, end);
   }
-  detector.finish(end);
+};
 
-  if (auto* o = obs::observer()) {
-    o->on_testbed_machine(machine, begin, end, detector.episodes().size(),
-                          simulation.events_executed());
-  }
-  return detector;
-}
+/// One batch the walk hands the detector: `count` samples reported at t0,
+/// t0+stride, ... (stride 0 where the clock clamp repeats a timestamp)
+/// sharing one reading. `before` is the model state ahead of the batch
+/// and `fresh` the transitions it made, so a visitor can recover each
+/// sample's state.
+struct SampleRun {
+  sim::SimTime t0;
+  sim::SimDuration stride;
+  std::uint64_t count;
+  double host_cpu;
+  double free_mem_mb;
+  bool alive;
+  monitor::AvailabilityState before;
+  std::span<const monitor::Transition> fresh;
+};
 
-/// The columnar fast-path walk for fault-free configs.
+/// The testbed's machine walk: drives the detector over a machine's
+/// synthesized load and `injector`'s (nullable) window faults.
 ///
-/// The legacy walk above fires one simulation event per sample period
-/// (5,760 per machine-day) and re-evaluates the trajectory cursor and
-/// detector state machine each time. But the synthesized load is
-/// piecewise-constant with segments far longer than the sample period,
-/// so consecutive samples overwhelmingly carry identical inputs. This
-/// walk iterates the *columns* directly — trajectory points and
-/// downtimes, each with a monotone cursor — and hands every maximal run
-/// of constant-input samples to observe_run in one call. Per sample
-/// period the work drops from an event dispatch plus full sampler and
-/// state-machine evaluation to amortized column arithmetic.
+/// The synthesized load is piecewise-constant with segments far longer
+/// than the sample period, so consecutive samples overwhelmingly carry
+/// identical inputs. The walk iterates the *columns* directly —
+/// trajectory points, downtimes and fault edges, each with a monotone
+/// cursor — and hands every maximal run of constant-input samples to
+/// observe_run in one call.
 ///
-/// Equivalence with the legacy walk (checked end-to-end by the
-/// soa-machine-step oracle):
-///  * sample times are begin+period, ..., end — exactly the periodic
-///    event times Simulation::every produces, since the horizon is a
-///    whole multiple of the period;
-///  * cpu/mem/alive per sample reproduce TrajectorySampler::sample
-///    (same cursor advance rules, same free-memory expression);
-///  * observe_run is bit-identical to per-sample observe();
-///  * the obs batch mirrors the numbers the event loop would flush:
-///    one live periodic event peak, total+1 schedules (the final fire
-///    reschedules past the horizon), nothing spilled or cancelled.
+/// Semantics (checked end-to-end against testkit's per-sample event-loop
+/// reference by the soa-machine-step oracle):
+///  * samples fall at begin+period, ..., end, the horizon being a whole
+///    multiple of the period;
+///  * cpu/mem/alive per sample reproduce TrajectorySampler::sample;
+///  * a fault edge at time e applies to samples at t >= e. Crashes force
+///    service_alive false; dropouts swallow samples, and the detector
+///    gets one sensor gap from the last reported time to the next
+///    reported one (or to `end`); skews shift reported times by the
+///    summed active skew, clamped to [last reported, end];
+///  * the obs batch mirrors an event loop that ran one periodic sample
+///    event plus a start and an end event per window fault, all the
+///    fault events scheduled up front.
+template <typename OnRun>
 monitor::UnavailabilityDetector walk_machine_columnar(
     const TestbedConfig& config, trace::MachineId machine,
-    util::Arena& arena) {
+    const fault::FaultInjector* injector, util::Arena& arena,
+    OnRun&& on_run) {
   workload::ArenaLoadTrace load(&arena);
   workload::generate_machine_load_into(
       config.profile, config.seed, machine, config.days,
@@ -182,8 +125,45 @@ monitor::UnavailabilityDetector walk_machine_columnar(
   const auto& downs = load.downtimes;
   FGCS_ASSERT(!pts.empty());
 
+  // Fault edges in firing order, closed by a sentinel past the last
+  // sample — without faults the sentinel is the whole column.
+  util::ArenaVector<FaultEdge> edges{util::ArenaAllocator<FaultEdge>(&arena)};
+  if (injector != nullptr) {
+    const auto events = injector->events_for(machine);
+    edges.reserve(2 * events.size() + 1);
+    for (const auto& ev : events) {
+      if (ev.kind == fault::FaultKind::kGuestKill) continue;
+      const auto k = static_cast<std::uint32_t>(edges.size());
+      edges.push_back({ev.start.as_micros(), k, 1, &ev});
+      edges.push_back({(ev.start + ev.duration).as_micros(), k + 1, -1, &ev});
+    }
+    std::sort(edges.begin(), edges.end(),
+              [](const FaultEdge& a, const FaultEdge& b) {
+                return a.t_us != b.t_us ? a.t_us < b.t_us : a.seq < b.seq;
+              });
+  }
+  const std::uint64_t window_faults = edges.size() / 2;
+  edges.push_back({end_us + period_us, 0, 0, nullptr});
+
+  FaultState faults{.last_us = begin_us};
+  double host_cpu = 0.0;
+  double free_mem = 0.0;
+  bool up = true;
+  const auto observe = [&](std::int64_t t0_us, std::int64_t stride_us,
+                           std::uint64_t count) {
+    if (count == 0) return;
+    const sim::SimTime t0 = sim::SimTime::from_micros(t0_us);
+    const sim::SimDuration stride = sim::SimDuration::micros(stride_us);
+    const monitor::AvailabilityState before = detector.state();
+    const std::size_t mark = detector.transitions().size();
+    detector.observe_run(t0, stride, count, host_cpu, free_mem, up);
+    on_run(SampleRun{t0, stride, count, host_cpu, free_mem, up, before,
+                     detector.transitions().subspan(mark)});
+  };
+
   std::size_t pi = 0;  // invariant: pts[pi].t <= t (< pts[pi+1].t)
   std::size_t di = 0;  // first downtime not entirely before t
+  std::size_t fi = 0;  // first fault edge after t
   std::uint64_t done = 0;
   std::int64_t t_us = begin_us + period_us;
   while (done < total) {
@@ -193,13 +173,14 @@ monitor::UnavailabilityDetector walk_machine_columnar(
            downs[di].start + downs[di].duration <= t) {
       ++di;
     }
+    while (edges[fi].t_us <= t_us) faults.apply(edges[fi++]);
     // Downtimes cover [start, start+duration), matching
     // TrajectorySampler::in_downtime.
     const bool alive = !(di < downs.size() && downs[di].start <= t);
 
-    // The instant any input changes: the next trajectory point, or the
-    // near edge of the pending downtime.
-    std::int64_t change_us = end_us + period_us;  // past the last sample
+    // The instant any input changes: the next fault edge (or the
+    // sentinel), trajectory point, or near edge of the pending downtime.
+    std::int64_t change_us = edges[fi].t_us;
     if (pi + 1 < pts.size()) {
       change_us = std::min(change_us, pts[pi + 1].t.as_micros());
     }
@@ -214,20 +195,62 @@ monitor::UnavailabilityDetector walk_machine_columnar(
         static_cast<std::uint64_t>((change_us - t_us - 1) / period_us) + 1;
     if (run > total - done) run = total - done;
 
-    const double host_mem = pts[pi].mem_mb;
-    const double free_mem =
-        std::max(0.0, config.ram_mb - config.kernel_mb - host_mem);
-    detector.observe_run(t, period, run, pts[pi].cpu, free_mem, alive);
+    if (faults.dropouts > 0) {
+      faults.dropped = true;  // samples lost; the gap closes on resume
+    } else {
+      host_cpu = pts[pi].cpu;
+      free_mem =
+          std::max(0.0, config.ram_mb - config.kernel_mb - pts[pi].mem_mb);
+      up = alive && faults.crashes == 0;
+      // Sample i is reported at clamp(raw + i*period, lo, end): those
+      // below `lo` repeat it, those past `end` repeat `end`.
+      const std::int64_t lo = faults.last_us;
+      const std::int64_t raw = t_us + faults.skew_us;
+      const std::int64_t raw_last =
+          raw + period_us * static_cast<std::int64_t>(run - 1);
+      std::uint64_t below = 0;
+      std::uint64_t upto_end = run;
+      if (raw < lo) {
+        below = std::min<std::uint64_t>(
+            run, static_cast<std::uint64_t>((lo - raw + period_us - 1) /
+                                            period_us));
+      }
+      if (raw_last > end_us) {
+        upto_end = raw > end_us ? 0
+                                : static_cast<std::uint64_t>(
+                                      (end_us - raw) / period_us) + 1;
+      }
+      if (faults.dropped) {
+        // The gap ends where observation resumes, in the monitor's clock;
+        // one the clamp collapses to nothing is dropped.
+        const std::int64_t resume = std::min(end_us, std::max(raw, lo));
+        if (resume > lo) {
+          detector.record_gap(sim::SimTime::from_micros(lo),
+                              sim::SimTime::from_micros(resume));
+        }
+        faults.dropped = false;
+      }
+      observe(lo, 0, below);
+      observe(raw + period_us * static_cast<std::int64_t>(below), period_us,
+              upto_end - below);
+      observe(end_us, 0, run - upto_end);
+      faults.last_us = std::min(end_us, std::max(raw_last, lo));
+    }
     done += run;
     t_us += period_us * static_cast<std::int64_t>(run);
+  }
+  if (faults.dropped && faults.last_us < end_us) {
+    detector.record_gap(sim::SimTime::from_micros(faults.last_us), end);
   }
   detector.finish(end);
 
   if (auto* o = obs::observer()) {
-    o->on_sim_batch(total, 1.0, total + 1, 0, 0, 0, 0);
-    if (total > 0) o->on_sim_run("run_until", begin, end, total);
+    const std::uint64_t events = total + 2 * window_faults;
+    o->on_sim_batch(events, static_cast<double>(2 * window_faults + 1),
+                    events + 1, 0, 0, 0, 0);
+    o->on_sim_run("run_until", begin, end, events);
     o->on_testbed_machine(machine, begin, end, detector.episodes().size(),
-                          total);
+                          events);
   }
   return detector;
 }
@@ -255,15 +278,6 @@ std::optional<fault::FaultInjector> make_injector(const TestbedConfig& config) {
                               begin, begin + sim::SimDuration::days(config.days));
 }
 
-std::vector<trace::UnavailabilityRecord> records_from(
-    const monitor::UnavailabilityDetector& detector,
-    trace::MachineId machine) {
-  std::vector<trace::UnavailabilityRecord> records;
-  records.reserve(detector.episodes().size());
-  append_records(detector, machine, records);
-  return records;
-}
-
 }  // namespace
 
 TestbedRunner::TestbedRunner(TestbedConfig config)
@@ -285,26 +299,11 @@ void TestbedRunner::run_into(
     std::vector<trace::UnavailabilityRecord>& out) const {
   fgcs::require(machine < config_.machines, "machine id out of range");
   out.clear();
-  if (injector_) {
-    // Fault plans perturb individual samples (crashes, dropouts, skew);
-    // batching buys nothing there, so they keep the event-loop walk.
-    const auto detector = walk_machine(config_, machine, &*injector_,
-                                       [](const auto&, auto) {});
-    append_records(detector, machine, out);
-    return;
-  }
   scratch.arena.reset();
-  const auto detector = walk_machine_columnar(config_, machine, scratch.arena);
-  append_records(detector, machine, out);
-}
-
-std::vector<trace::UnavailabilityRecord> TestbedRunner::run_reference(
-    trace::MachineId machine) const {
-  fgcs::require(machine < config_.machines, "machine id out of range");
   const auto detector =
-      walk_machine(config_, machine, injector_ ? &*injector_ : nullptr,
-                   [](const auto&, auto) {});
-  return records_from(detector, machine);
+      walk_machine_columnar(config_, machine, injector_ ? &*injector_ : nullptr,
+                            scratch.arena, [](const SampleRun&) {});
+  append_records(detector, machine, out);
 }
 
 std::vector<trace::UnavailabilityRecord> run_testbed_machine(
@@ -317,11 +316,15 @@ TestbedMachineDetail run_testbed_machine_detailed(const TestbedConfig& config,
   config.validate();
   fgcs::require(machine < config.machines, "machine id out of range");
   const auto injector = make_injector(config);
-  const auto detector = walk_machine(config, machine,
-                                     injector ? &*injector : nullptr,
-                                     [](const auto&, auto) {});
+  MachineScratch scratch;
+  const auto detector =
+      walk_machine_columnar(config, machine, injector ? &*injector : nullptr,
+                            scratch.arena, [](const SampleRun&) {});
   TestbedMachineDetail detail;
-  detail.records = records_from(detector, machine);
+  append_records(detector, machine, detail.records);
+  detail.transitions.assign(detector.transitions().begin(),
+                            detector.transitions().end());
+  detail.gaps.assign(detector.gaps().begin(), detector.gaps().end());
   detail.timeline = monitor::StateTimeline::from_detector(
       detector, sim::SimTime::epoch(),
       sim::SimTime::epoch() + sim::SimDuration::days(config.days));
@@ -347,24 +350,32 @@ CapacityProfile run_capacity_profile(const TestbedConfig& config) {
   const auto injector = make_injector(config);
   const fault::FaultInjector* injector_ptr = injector ? &*injector : nullptr;
   util::parallel_for(config.machines, [&](std::size_t m) {
-    walk_machine(
-        config, static_cast<trace::MachineId>(m), injector_ptr,
-        [&](const monitor::HostSample& sample,
-            monitor::AvailabilityState state) {
-          Acc& acc = calendar.is_weekend(sample.time)
-                         ? weekend_acc[m]
-                         : weekday_acc[m];
-          const auto hour =
-              static_cast<std::size_t>(calendar.hour_of_day(sample.time));
-          const bool usable = !monitor::is_failure(state);
-          const double cpu = usable ? 1.0 - sample.host_cpu : 0.0;
-          acc.cpu_sum[hour] += cpu;
-          acc.mem_sum[hour] += usable ? sample.free_mem_mb : 0.0;
-          acc.load_sum[hour] += sample.host_cpu;
-          acc.n[hour] += 1;
-          acc.cpu_total += cpu;
-          acc.usable += usable ? 1 : 0;
-          acc.samples += 1;
+    MachineScratch scratch;
+    // Expands each run into its samples, in order, at their reported
+    // times, so the float sums fold exactly as one add per sample.
+    walk_machine_columnar(
+        config, static_cast<trace::MachineId>(m), injector_ptr, scratch.arena,
+        [&](const SampleRun& r) {
+          monitor::AvailabilityState state = r.before;
+          std::size_t next = 0;
+          for (std::uint64_t i = 0; i < r.count; ++i) {
+            const sim::SimTime t =
+                r.t0 + r.stride * static_cast<std::int64_t>(i);
+            while (next < r.fresh.size() && r.fresh[next].time <= t) {
+              state = r.fresh[next++].to;
+            }
+            Acc& acc = calendar.is_weekend(t) ? weekend_acc[m] : weekday_acc[m];
+            const auto hour = static_cast<std::size_t>(calendar.hour_of_day(t));
+            const bool usable = !monitor::is_failure(state);
+            const double cpu = usable ? 1.0 - r.host_cpu : 0.0;
+            acc.cpu_sum[hour] += cpu;
+            acc.mem_sum[hour] += usable ? r.free_mem_mb : 0.0;
+            acc.load_sum[hour] += r.host_cpu;
+            acc.n[hour] += 1;
+            acc.cpu_total += cpu;
+            acc.usable += usable ? 1 : 0;
+            acc.samples += 1;
+          }
         });
   });
 

@@ -37,11 +37,11 @@ struct TestbedConfig {
   std::uint64_t seed = 20050815;
 
   /// Injected faults (crashes, sensor dropouts, clock-skew blips) layered
-  /// on top of the organic workload. The empty default takes the exact
-  /// baseline code path — no injector is built, no per-sample branches on
-  /// fault state beyond one null check. Expansion is deterministic in
-  /// (faults, seed), and the workload's random streams are untouched, so
-  /// the same seed with and without a plan synthesizes the same host load.
+  /// on top of the organic workload. With the empty default no injector
+  /// is built and the walk's fault column is a lone sentinel. Expansion is
+  /// deterministic in (faults, seed), and the workload's random streams
+  /// are untouched, so the same seed with and without a plan synthesizes
+  /// the same host load.
   fault::FaultPlan faults;
 
   void validate() const;
@@ -57,10 +57,11 @@ std::vector<trace::UnavailabilityRecord> run_testbed_machine(
 
 /// Reusable per-worker scratch for TestbedRunner::run_into: one bump
 /// arena that every transient per-machine allocation (trajectory points,
-/// downtimes, overlay deltas, detector transitions/episodes/gaps) draws
-/// from. The arena is reset per machine but its chunks are retained, so
-/// after the first machine warms it a machine-day performs zero heap
-/// allocations. One scratch per worker thread; not shareable.
+/// downtimes, overlay deltas, fault edges, detector
+/// transitions/episodes/gaps) draws from. The arena is reset per machine
+/// but its chunks are retained, so after the first machine warms it a
+/// machine-day performs zero heap allocations. One scratch per worker
+/// thread; not shareable.
 struct MachineScratch {
   util::Arena arena;
 };
@@ -71,12 +72,10 @@ struct MachineScratch {
 /// for different machines share only immutable state, and each machine's
 /// result is identical to run_testbed_machine() for the same config.
 ///
-/// Engine selection: fault-free configs take the columnar fast path —
-/// the piecewise-constant trajectory is walked run-of-constant-samples
-/// at a time through UnavailabilityDetector::observe_run, with all
-/// scratch in the arena — while fault-injected configs (and the
-/// reference entry point below) run the legacy per-sample event loop.
-/// Both engines produce bit-identical records and telemetry.
+/// Every machine takes one columnar walk: the piecewise-constant
+/// trajectory, its downtimes and the machine's fault windows are walked
+/// run-of-constant-samples at a time through
+/// UnavailabilityDetector::observe_run, with all scratch in the arena.
 class TestbedRunner {
  public:
   explicit TestbedRunner(TestbedConfig config);
@@ -95,21 +94,18 @@ class TestbedRunner {
   void run_into(trace::MachineId machine, MachineScratch& scratch,
                 std::vector<trace::UnavailabilityRecord>& out) const;
 
-  /// Reference implementation: always the legacy per-sample event-loop
-  /// walk, regardless of engine eligibility. The soa-machine-step diff
-  /// oracle checks run() against this bit-for-bit.
-  std::vector<trace::UnavailabilityRecord> run_reference(
-      trace::MachineId machine) const;
-
  private:
   TestbedConfig config_;
   std::optional<fault::FaultInjector> injector_;
 };
 
-/// Per-machine detail: the trace records plus the full five-state
-/// timeline (the empirical Figure 5 view).
+/// Per-machine detail: the trace records, the detector's transitions and
+/// sensor gaps, and the full five-state timeline (the empirical Figure 5
+/// view).
 struct TestbedMachineDetail {
   std::vector<trace::UnavailabilityRecord> records;
+  std::vector<monitor::Transition> transitions;
+  std::vector<monitor::SensorGap> gaps;
   monitor::StateTimeline timeline;
 };
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "fgcs/obs/observer.hpp"
-#include "fgcs/sim/simulation.hpp"
 #include "fgcs/util/error.hpp"
 #include "fgcs/util/rng.hpp"
 
@@ -46,14 +44,19 @@ FaultInjector::FaultInjector(const FaultPlan& plan, std::uint64_t seed,
       auto emit = [&](sim::SimTime start, sim::SimDuration duration) {
         if (start < begin || start >= end) return;
         duration = std::max(duration, kMinDuration);
-        if (start + duration > end) duration = end - start;
+        if (duration > end - start) duration = end - start;
         FaultEvent ev;
         ev.kind = spec.kind;
         ev.machine = m;
         ev.start = start;
         ev.duration = duration;
         if (spec.kind == FaultKind::kClockSkew) {
-          ev.skew = sim::SimDuration::from_seconds(spec.skew_ms / 1000.0);
+          // A skew longer than the horizon already shifts every sample
+          // past the horizon's edge; bounding it keeps summed skews far
+          // from int64 overflow.
+          ev.skew = sim::SimDuration::from_seconds(std::clamp(
+              spec.skew_ms / 1000.0, -horizon.as_seconds(),
+              horizon.as_seconds()));
         }
         events_.push_back(ev);
       };
@@ -64,10 +67,19 @@ FaultInjector::FaultInjector(const FaultPlan& plan, std::uint64_t seed,
                spec_fixed_duration(spec));
         }
       } else {
+        // Guard against degenerate plans flooding the horizon: a spec
+        // contributes at most one occurrence per second of horizon to
+        // each machine, so no machine's schedule depends on fleet size.
+        const auto cap = static_cast<std::size_t>(
+            std::max<std::int64_t>(1, horizon.as_micros() / 1000000));
         const double mean_gap_s = 86400.0 / spec.rate_per_day;
         sim::SimTime t = begin;
-        while (true) {
-          t += sim::SimDuration::from_seconds(rng.exponential(mean_gap_s));
+        for (std::size_t emitted = 0; emitted < cap; ++emitted) {
+          // A gap of a whole horizon ends past `end` (and could overflow
+          // the clock when huge).
+          const double gap_s = rng.exponential(mean_gap_s);
+          if (!(gap_s < horizon.as_seconds())) break;
+          t += sim::SimDuration::from_seconds(gap_s);
           if (t >= end) break;
           sim::SimDuration duration;
           if (spec.duration_minutes >= 0.0) {
@@ -77,12 +89,6 @@ FaultInjector::FaultInjector(const FaultPlan& plan, std::uint64_t seed,
                 rng.exponential(spec.mean_minutes * 60.0));
           }
           emit(t, duration);
-          // Guard against degenerate plans flooding the horizon: a spec
-          // can contribute at most one occurrence per second of horizon.
-          if (events_.size() > static_cast<std::size_t>(
-                                   horizon.as_seconds()) + 1000000u) {
-            break;
-          }
         }
       }
     }
@@ -108,55 +114,6 @@ std::span<const FaultEvent> FaultInjector::events_for(
   return std::span<const FaultEvent>(events_).subspan(
       machine_offset_[machine],
       machine_offset_[machine + 1] - machine_offset_[machine]);
-}
-
-MachineFaultSession::MachineFaultSession(const FaultInjector& injector,
-                                         std::uint32_t machine)
-    : events_(injector.events_for(machine)) {
-  for (const auto& ev : events_) {
-    if (ev.kind == FaultKind::kGuestKill) kills_.push_back(ev.start);
-  }
-}
-
-void MachineFaultSession::schedule(sim::Simulation& simulation) {
-  for (const auto& ev : events_) {
-    if (ev.kind == FaultKind::kGuestKill) continue;
-    const FaultEvent* event = &ev;
-    simulation.at(ev.start, [this, event] {
-      switch (event->kind) {
-        case FaultKind::kCrash:
-          ++crash_depth_;
-          break;
-        case FaultKind::kSensorDropout:
-          ++dropout_depth_;
-          break;
-        case FaultKind::kClockSkew:
-          skew_ += event->skew;
-          break;
-        case FaultKind::kGuestKill:
-          break;
-      }
-      if (auto* o = obs::observer()) {
-        o->on_fault_injected(static_cast<int>(event->kind), event->start,
-                             event->duration);
-      }
-    });
-    simulation.at(ev.start + ev.duration, [this, event] {
-      switch (event->kind) {
-        case FaultKind::kCrash:
-          --crash_depth_;
-          break;
-        case FaultKind::kSensorDropout:
-          --dropout_depth_;
-          break;
-        case FaultKind::kClockSkew:
-          skew_ -= event->skew;
-          break;
-        case FaultKind::kGuestKill:
-          break;
-      }
-    });
-  }
 }
 
 }  // namespace fgcs::fault

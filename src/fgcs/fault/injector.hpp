@@ -7,17 +7,9 @@
 // any other random stream in the simulation (workload synthesis is
 // unchanged by adding a plan).
 //
-// At simulation time a MachineFaultSession installs the machine's events
-// on a sim::Simulation through the ordinary event queue: each occurrence
-// becomes a start event (activates the fault, counts fault.injected) and
-// an end event (deactivates it). Samplers poll the session's flags:
-//
-//   MachineFaultSession session(injector, machine_id);
-//   session.schedule(simulation);
-//   simulation.every(period, [&] {
-//     if (session.dropout_active()) { /* no sample: sensor gap */ }
-//     sample.service_alive = !session.crash_active() && ...;
-//   });
+// Consumers read one machine's occurrences with events_for(): the testbed
+// walk turns each window fault (crash/dropout/skew) into a start and an
+// end breakpoint, and the guest-lifecycle study reads guest kills.
 #pragma once
 
 #include <cstdint>
@@ -26,10 +18,6 @@
 
 #include "fgcs/fault/fault_plan.hpp"
 #include "fgcs/sim/time.hpp"
-
-namespace fgcs::sim {
-class Simulation;
-}  // namespace fgcs::sim
 
 namespace fgcs::fault {
 
@@ -69,35 +57,6 @@ class FaultInjector {
   sim::SimTime end_;
   std::vector<FaultEvent> events_;          // sorted by (machine, start)
   std::vector<std::size_t> machine_offset_;  // size machines_ + 1
-};
-
-/// Live fault state of one machine inside one simulation run. Window
-/// faults (crash/dropout/skew) keep activation *counts* so overlapping
-/// occurrences nest correctly; guest kills are exposed as a sorted time
-/// list for the guest lifecycle to consume.
-class MachineFaultSession {
- public:
-  MachineFaultSession(const FaultInjector& injector, std::uint32_t machine);
-
-  /// Installs start/end events for every window fault on `simulation`
-  /// (guest kills are not scheduled here — see guest_kill_times()). Call
-  /// once, before running. Counts fault.injected{kind=...} as events fire.
-  void schedule(sim::Simulation& simulation);
-
-  bool crash_active() const { return crash_depth_ > 0; }
-  bool dropout_active() const { return dropout_depth_ > 0; }
-  /// Sum of active skew offsets (zero when no blip is active).
-  sim::SimDuration skew() const { return skew_; }
-
-  /// Scheduled guest-kill instants within the horizon, sorted.
-  std::span<const sim::SimTime> guest_kill_times() const { return kills_; }
-
- private:
-  std::span<const FaultEvent> events_;
-  std::vector<sim::SimTime> kills_;
-  int crash_depth_ = 0;
-  int dropout_depth_ = 0;
-  sim::SimDuration skew_ = sim::SimDuration::zero();
 };
 
 }  // namespace fgcs::fault

@@ -40,7 +40,7 @@ namespace fgcs::obs {
 inline constexpr int kStateCount = 5;
 
 /// Number of injectable fault kinds — mirrors fault::FaultKind without
-/// depending on the fault layer (which links against obs).
+/// depending on the fault layer.
 inline constexpr int kFaultKindCount = 4;
 
 /// Plain (non-atomic) mirror of the Observer's hot counters.

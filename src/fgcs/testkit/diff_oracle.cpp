@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <iomanip>
 #include <sstream>
 #include <vector>
@@ -15,11 +16,13 @@
 #include "fgcs/core/prediction_study.hpp"
 #include "fgcs/core/testbed.hpp"
 #include "fgcs/fleet/fleet.hpp"
+#include "fgcs/obs/observer.hpp"
 #include "fgcs/os/machine.hpp"
 #include "fgcs/predict/semi_markov.hpp"
 #include "fgcs/query/engine.hpp"
 #include "fgcs/serve/query.hpp"
 #include "fgcs/testkit/invariants.hpp"
+#include "fgcs/testkit/reference_walk.hpp"
 #include "fgcs/testkit/scenario.hpp"
 #include "fgcs/trace/calendar.hpp"
 #include "fgcs/trace/index.hpp"
@@ -564,26 +567,147 @@ DiffResult oracle_flight_recorder(std::uint64_t seed) {
 
 // --- oracle 8: columnar machine walk vs. per-sample event loop ------------
 
-DiffResult oracle_soa_machine_step(std::uint64_t seed) {
-  // Strip faults so the runner takes the columnar engine; the reference
-  // entry point always runs the legacy per-sample event loop over the
-  // identical config.
-  core::TestbedConfig config = small_testbed(seed);
-  config.faults = {};
-  const core::TestbedRunner runner(config);
+/// What the observer saw of one machine walk: its counter shard and its
+/// flight-recorder capture.
+struct ObservedWalk {
+  obs::CounterShard counters;
+  std::vector<obs::FlightEvent> flight;
+  std::uint64_t flight_dropped = 0;
+};
 
-  trace::TraceSet columnar(config.machines, runner.horizon_start(),
-                           runner.horizon_end());
-  trace::TraceSet legacy(config.machines, runner.horizon_start(),
-                         runner.horizon_end());
+template <typename Walk>
+ObservedWalk observe_walk(Walk&& walk) {
+  obs::FlightRecorder::Options recorder_options;
+  recorder_options.capacity = 1 << 16;
+  obs::FlightRecorder flight(recorder_options);
+  obs::Observer::Options observer_options;
+  observer_options.enable_trace = false;
+  obs::Observer observer(observer_options);
+  observer.set_flight_recorder(&flight);  // attach before installing
+  ObservedWalk out;
+  {
+    const obs::ScopedObserver guard(&observer);
+    const obs::ShardScope shard(&out.counters);
+    walk();
+  }
+  out.flight = flight.events();
+  out.flight_dropped = flight.dropped();
+  return out;
+}
+
+/// First differing CounterShard field, or "" when bit-identical.
+std::string counter_diff(const obs::CounterShard& a,
+                         const obs::CounterShard& b) {
+  std::ostringstream out;
+  const auto field = [&out](const char* name, auto x, auto y) {
+    if (out.tellp() == 0 && !(x == y)) out << name << " " << x << " vs " << y;
+  };
+  field("sim.events_executed", a.sim_events_executed, b.sim_events_executed);
+  field("sim.events_scheduled", a.sim_events_scheduled,
+        b.sim_events_scheduled);
+  field("sim.max_queue_depth", a.sim_max_queue_depth, b.sim_max_queue_depth);
+  field("sim.callbacks_spilled", a.sim_callbacks_spilled,
+        b.sim_callbacks_spilled);
+  for (int k = 0; k < obs::kFaultKindCount; ++k) {
+    field("fault.injected", a.fault_injected[k], b.fault_injected[k]);
+  }
+  field("detector.samples", a.detector_samples, b.detector_samples);
+  field("detector.sensor_gaps", a.detector_sensor_gaps,
+        b.detector_sensor_gaps);
+  field("detector.sensor_gap_us", a.detector_sensor_gap_us,
+        b.detector_sensor_gap_us);
+  for (int f = 0; f < obs::kStateCount; ++f) {
+    for (int t = 0; t < obs::kStateCount; ++t) {
+      field("detector.transitions", a.detector_transitions[f][t],
+            b.detector_transitions[f][t]);
+    }
+  }
+  field("detector.episodes_opened", a.detector_episodes_opened,
+        b.detector_episodes_opened);
+  field("detector.episodes_closed", a.detector_episodes_closed,
+        b.detector_episodes_closed);
+  field("testbed.machines", a.testbed_machines, b.testbed_machines);
+  // Every field is 8 bytes wide, so the struct has no padding: a bytewise
+  // compare catches anything the named list above misses.
+  if (out.tellp() == 0 && std::memcmp(&a, &b, sizeof a) != 0) {
+    out << "counter shards differ";
+  }
+  return out.str();
+}
+
+bool flight_equal(const obs::FlightEvent& a, const obs::FlightEvent& b) {
+  return a.at == b.at && a.kind == b.kind && a.machine == b.machine &&
+         a.a == b.a && a.b == b.b && a.dur == b.dur;
+}
+
+DiffResult diff_machine_walk(const core::TestbedConfig& config,
+                             const core::TestbedRunner& runner,
+                             trace::MachineId m) {
+  const auto mismatch = [m](const std::string& what) {
+    std::ostringstream out;
+    out << "machine " << m << ": " << what;
+    return DiffResult::mismatch(out.str());
+  };
   core::MachineScratch scratch;
   std::vector<trace::UnavailabilityRecord> records;
-  for (std::uint32_t m = 0; m < config.machines; ++m) {
-    runner.run_into(m, scratch, records);
-    for (const auto& r : records) columnar.add(r);
-    for (const auto& r : runner.run_reference(m)) legacy.add(r);
+  const ObservedWalk prod =
+      observe_walk([&] { runner.run_into(m, scratch, records); });
+  ReferenceMachine ref;
+  const ObservedWalk refobs =
+      observe_walk([&] { ref = run_reference_machine(config, m); });
+
+  if (records.size() != ref.records.size() ||
+      !std::equal(records.begin(), records.end(), ref.records.begin(),
+                  records_equal)) {
+    return mismatch("records differ");
   }
-  return diff_traces(columnar, legacy, "columnar vs legacy walk");
+  const core::TestbedMachineDetail detail =
+      core::run_testbed_machine_detailed(config, m);
+  if (!std::equal(detail.records.begin(), detail.records.end(),
+                  records.begin(), records.end(), records_equal)) {
+    return mismatch("detailed records differ from run_into");
+  }
+  if (!std::equal(detail.transitions.begin(), detail.transitions.end(),
+                  ref.transitions.begin(), ref.transitions.end(),
+                  [](const monitor::Transition& a,
+                     const monitor::Transition& b) {
+                    return a.time == b.time && a.from == b.from && a.to == b.to;
+                  })) {
+    return mismatch("detector transitions differ");
+  }
+  if (!std::equal(detail.gaps.begin(), detail.gaps.end(), ref.gaps.begin(),
+                  ref.gaps.end(),
+                  [](const monitor::SensorGap& a, const monitor::SensorGap& b) {
+                    return a.start == b.start && a.end == b.end &&
+                           a.held == b.held;
+                  })) {
+    return mismatch("sensor gaps differ");
+  }
+  const auto ia = detail.timeline.intervals();
+  const auto ib = ref.timeline.intervals();
+  if (!std::equal(ia.begin(), ia.end(), ib.begin(), ib.end(),
+                  [](const monitor::StateInterval& a,
+                     const monitor::StateInterval& b) {
+                    return a.state == b.state && a.start == b.start &&
+                           a.end == b.end;
+                  }) ||
+      detail.timeline.sensor_gap_time() != ref.timeline.sensor_gap_time()) {
+    return mismatch("timelines differ");
+  }
+  if (const std::string d = counter_diff(prod.counters, refobs.counters);
+      !d.empty()) {
+    return mismatch("counter shard: " + d);
+  }
+  if (prod.flight_dropped != refobs.flight_dropped ||
+      !std::equal(prod.flight.begin(), prod.flight.end(),
+                  refobs.flight.begin(), refobs.flight.end(), flight_equal)) {
+    return mismatch("flight-recorder captures differ");
+  }
+  return DiffResult::ok();
+}
+
+DiffResult oracle_soa_machine_step(std::uint64_t seed) {
+  return diff_testbed_walks(small_testbed(seed));
 }
 
 // --- oracle 9: resumed fleet sweep vs. uninterrupted sweep ----------------
@@ -1087,6 +1211,26 @@ DiffResult oracle_query_pushdown(std::uint64_t seed) {
 }
 
 }  // namespace
+
+DiffResult diff_testbed_walks(const core::TestbedConfig& config) {
+  const core::TestbedRunner runner(config);
+  for (std::uint32_t m = 0; m < config.machines; ++m) {
+    if (DiffResult r = diff_machine_walk(config, runner, m); !r.match) {
+      return r;
+    }
+  }
+  const core::CapacityProfile a = core::run_capacity_profile(config);
+  const core::CapacityProfile b = run_reference_capacity_profile(config);
+  const bool same =
+      a.weekday_cpu == b.weekday_cpu && a.weekend_cpu == b.weekend_cpu &&
+      a.weekday_free_mem == b.weekday_free_mem &&
+      a.weekend_free_mem == b.weekend_free_mem &&
+      a.weekday_host_load == b.weekday_host_load &&
+      a.weekend_host_load == b.weekend_host_load &&
+      a.overall_cpu == b.overall_cpu && a.overall_usable == b.overall_usable;
+  if (!same) return DiffResult::mismatch("capacity profiles differ");
+  return DiffResult::ok();
+}
 
 const std::vector<DiffOracle>& standard_oracles() {
   static const std::vector<DiffOracle> oracles = {

@@ -25,8 +25,11 @@
 //                           invariant battery and render to
 //                           byte-identical sim-time-ordered post-mortems
 //   soa-machine-step        TestbedRunner's columnar arena-backed walk
-//                           (run_into) vs. run_reference's per-sample
-//                           event loop, traces compared bit-for-bit
+//                           (run_into) vs. testkit's per-sample event-loop
+//                           reference (reference_walk.hpp), fault plans
+//                           included: records, transitions, gaps,
+//                           timelines, counter shards, flight captures
+//                           and the capacity profile bit-for-bit
 //   fleet-resume            a checkpointed sweep, crash-doctored (segment
 //                           deleted / byte-flipped, state blob or
 //                           manifest removed) and resumed, vs. the clean
@@ -52,6 +55,10 @@
 #include <string>
 #include <vector>
 
+namespace fgcs::core {
+struct TestbedConfig;
+}  // namespace fgcs::core
+
 namespace fgcs::testkit {
 
 /// Outcome of one oracle on one seed.
@@ -73,6 +80,14 @@ struct DiffOracle {
 
 /// The eleven standard oracles above.
 const std::vector<DiffOracle>& standard_oracles();
+
+/// Diffs core's machine walk against the testkit reference walk on every
+/// machine of `config`, fault plan included: run_into's records, the
+/// detailed walk's transitions, gaps and timeline, and each machine's
+/// obs::CounterShard and flight-recorder capture; then
+/// core::run_capacity_profile. The soa-machine-step oracle runs it on
+/// seed-drawn configs.
+DiffResult diff_testbed_walks(const core::TestbedConfig& config);
 
 /// Finds a standard oracle by name; nullptr when unknown.
 const DiffOracle* find_oracle(std::string_view name);

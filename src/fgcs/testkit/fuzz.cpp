@@ -7,9 +7,11 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "fgcs/core/testbed.hpp"
 #include "fgcs/fault/fault_plan.hpp"
 #include "fgcs/query/predicate.hpp"
 #include "fgcs/serve/load.hpp"
+#include "fgcs/testkit/diff_oracle.hpp"
 #include "fgcs/trace/io.hpp"
 #include "fgcs/util/cli.hpp"
 #include "fgcs/util/error.hpp"
@@ -142,6 +144,14 @@ void fuzz_fault_plan(const std::uint8_t* data, std::size_t size) {
   if (reparsed.str() != written) {
     finding("fault plan write -> parse -> write is not a fixpoint");
   }
+  // Accepted plan: the production walk and the reference walk must agree
+  // on a 1-machine x 1-day testbed running it.
+  core::TestbedConfig config;
+  config.machines = 1;
+  config.days = 1;
+  config.faults = plan;
+  const DiffResult diff = diff_testbed_walks(config);
+  if (!diff.match) finding("faulted walk vs reference: " + diff.detail);
 }
 
 void fuzz_cli_args(const std::uint8_t* data, std::size_t size) {

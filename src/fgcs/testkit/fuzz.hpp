@@ -31,7 +31,10 @@ void fuzz_trace_csv(const std::uint8_t* data, std::size_t size);
 /// Trace binary reader pair (strict + salvage) with round-trip checks.
 void fuzz_trace_binary(const std::uint8_t* data, std::size_t size);
 
-/// fault::FaultPlan text parser with write/parse idempotence check.
+/// fault::FaultPlan text parser with write/parse idempotence check; every
+/// accepted plan must also give identical records, transitions, gaps,
+/// counters and flight captures from the production walk and the testkit
+/// reference walk on a 1-machine x 1-day testbed.
 void fuzz_fault_plan(const std::uint8_t* data, std::size_t size);
 
 /// util::CliArgs tokenizer/lookup surface.

@@ -1,12 +1,9 @@
-// Tests for deterministic fault expansion (FaultInjector) and the
-// per-machine live session (MachineFaultSession).
+// Tests for deterministic fault expansion (FaultInjector).
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "fgcs/fault/injector.hpp"
-#include "fgcs/obs/observer.hpp"
-#include "fgcs/sim/simulation.hpp"
 #include "fgcs/util/error.hpp"
 
 namespace fgcs::fault {
@@ -162,6 +159,62 @@ TEST(FaultInjectorTest, EventsAreSortedAndPartitioned) {
   EXPECT_EQ(total, all.size());
 }
 
+// A machine's schedule must not depend on fleet size: the flood guard
+// caps each (spec, machine), so the last machine of a fleet large enough
+// to pass a million occurrences gets the same schedule under an
+// all-machines spec as under the same spec aimed at it alone.
+TEST(FaultInjectorTest, FloodGuardIsPerMachineNotFleetWide) {
+  const std::uint32_t machines = 12000;
+  const SimTime begin = SimTime::epoch();
+  const SimTime end = begin + SimDuration::hours(1);
+  const FaultPlan all = rate_plan(2400.0, 1.0);
+  FaultPlan one = all;
+  one.specs[0].machine = machines - 1;
+  const FaultInjector fleet(all, 5, machines, begin, end);
+  const FaultInjector targeted(one, 5, machines, begin, end);
+  const auto late = targeted.events_for(machines - 1);
+  EXPECT_GT(late.size(), 50u);
+  EXPECT_TRUE(same_events(fleet.events_for(machines - 1), late));
+}
+
+// The guard still bounds a degenerate spec: one occurrence per second of
+// horizon per machine.
+TEST(FaultInjectorTest, FloodGuardCapsEachMachineAtOnePerSecond) {
+  const FaultInjector inj(rate_plan(1e9, 1.0), 3, 2, SimTime::epoch(),
+                          SimTime::epoch() + SimDuration::hours(1));
+  EXPECT_EQ(inj.events_for(0).size(), 3600u);
+  EXPECT_EQ(inj.events_for(1).size(), 3600u);
+}
+
+// Extreme but valid plans stay inside the clock's range: a vanishing rate
+// yields no occurrence, a duration past int64 microseconds is clipped at
+// `end`, and a skew past the horizon is bounded by it.
+TEST(FaultInjectorTest, ExtremeRatesAndSkewsStayInRange) {
+  FaultPlan plan = rate_plan(1e-300, 5.0);
+  FaultSpec crash;
+  crash.kind = FaultKind::kCrash;
+  crash.at_hours = {12.0};
+  crash.duration_minutes = 1.5e11;  // 9.0e18 us
+  plan.specs.push_back(crash);
+  FaultSpec skew;
+  skew.kind = FaultKind::kClockSkew;
+  skew.at_hours = {1.0, 2.0};
+  skew.skew_ms = 1e300;
+  plan.specs.push_back(skew);
+  skew.skew_ms = -1e300;
+  plan.specs.push_back(skew);
+  const SimDuration horizon = SimDuration::days(1);
+  const FaultInjector inj(plan, 8, 1, SimTime::epoch(),
+                          SimTime::epoch() + horizon);
+  const auto events = inj.events_for(0);
+  ASSERT_EQ(events.size(), 5u);
+  for (const auto& ev : events) {
+    EXPECT_LE(ev.start + ev.duration, SimTime::epoch() + horizon);
+    if (ev.kind == FaultKind::kCrash) continue;
+    EXPECT_EQ(ev.skew < SimDuration::zero() ? -ev.skew : ev.skew, horizon);
+  }
+}
+
 TEST(FaultInjectorTest, RejectsEmptyHorizonAndBadMachine) {
   const auto plan = rate_plan(1.0, 5.0);
   EXPECT_THROW(
@@ -173,192 +226,6 @@ TEST(FaultInjectorTest, RejectsEmptyHorizonAndBadMachine) {
   const FaultInjector inj(plan, 1, 2, SimTime::epoch(),
                           SimTime::epoch() + SimDuration::hours(1));
   EXPECT_THROW(inj.events_for(2), ConfigError);
-}
-
-TEST(MachineFaultSessionTest, WindowFaultsActivateAndDeactivate) {
-  FaultPlan plan;
-  FaultSpec crash;
-  crash.kind = FaultKind::kCrash;
-  crash.at_hours = {1.0};
-  crash.duration_minutes = 30.0;
-  plan.specs.push_back(crash);
-  FaultSpec skew;
-  skew.kind = FaultKind::kClockSkew;
-  skew.at_hours = {0.5};
-  skew.duration_minutes = 90.0;
-  skew.skew_ms = 250.0;
-  plan.specs.push_back(skew);
-
-  const FaultInjector inj(plan, 2, 1, SimTime::epoch(),
-                          SimTime::epoch() + SimDuration::hours(4));
-  MachineFaultSession session(inj, 0);
-  sim::Simulation simulation;
-  session.schedule(simulation);
-
-  struct Probe {
-    SimDuration at;
-    bool crash;
-    double skew_s;
-  };
-  const std::vector<Probe> probes = {
-      {SimDuration::minutes(10), false, 0.0},
-      {SimDuration::minutes(45), false, 0.25},   // skew blip only
-      {SimDuration::minutes(75), true, 0.25},    // crash + skew overlap
-      {SimDuration::minutes(100), false, 0.25},  // crash ended at 1h30
-      {SimDuration::minutes(150), false, 0.0},   // skew ended at 2h
-  };
-  for (const auto& probe : probes) {
-    simulation.at(SimTime::epoch() + probe.at, [&session, &probe] {
-      EXPECT_EQ(session.crash_active(), probe.crash)
-          << "at minute " << probe.at.as_minutes();
-      EXPECT_DOUBLE_EQ(session.skew().as_seconds(), probe.skew_s)
-          << "at minute " << probe.at.as_minutes();
-    });
-  }
-  simulation.run_all();
-  EXPECT_FALSE(session.crash_active());
-  EXPECT_EQ(session.skew(), SimDuration::zero());
-}
-
-TEST(MachineFaultSessionTest, GuestKillsAreListedNotScheduled) {
-  FaultPlan plan;
-  FaultSpec kill;
-  kill.kind = FaultKind::kGuestKill;
-  kill.at_hours = {5.0, 1.0, 3.0};
-  plan.specs.push_back(kill);
-
-  const FaultInjector inj(plan, 4, 1, SimTime::epoch(),
-                          SimTime::epoch() + SimDuration::hours(8));
-  MachineFaultSession session(inj, 0);
-  const auto kills = session.guest_kill_times();
-  ASSERT_EQ(kills.size(), 3u);
-  EXPECT_EQ(kills[0], SimTime::epoch() + SimDuration::hours(1));
-  EXPECT_EQ(kills[1], SimTime::epoch() + SimDuration::hours(3));
-  EXPECT_EQ(kills[2], SimTime::epoch() + SimDuration::hours(5));
-
-  sim::Simulation simulation;
-  session.schedule(simulation);
-  simulation.run_all();
-  // Kills never toggle the window-fault flags.
-  EXPECT_FALSE(session.crash_active());
-  EXPECT_FALSE(session.dropout_active());
-  EXPECT_EQ(simulation.events_executed(), 0u);
-}
-
-TEST(MachineFaultSessionTest, OverlappingDropoutsNest) {
-  FaultPlan plan;
-  FaultSpec drop;
-  drop.kind = FaultKind::kSensorDropout;
-  drop.at_hours = {1.0, 1.25};  // second starts inside the first
-  drop.duration_minutes = 30.0;
-  plan.specs.push_back(drop);
-
-  const FaultInjector inj(plan, 6, 1, SimTime::epoch(),
-                          SimTime::epoch() + SimDuration::hours(3));
-  MachineFaultSession session(inj, 0);
-  sim::Simulation simulation;
-  session.schedule(simulation);
-
-  // First window ends at 1h30, second at 1h45; the flag must stay up
-  // through the overlap seam.
-  simulation.at(SimTime::epoch() + SimDuration::minutes(95),
-                [&session] { EXPECT_TRUE(session.dropout_active()); });
-  simulation.at(SimTime::epoch() + SimDuration::minutes(110),
-                [&session] { EXPECT_FALSE(session.dropout_active()); });
-  simulation.run_all();
-}
-
-// The obs layer's fault.injected{kind} counters must equal the expanded
-// plan exactly: one bump per scheduled window-fault activation, none for
-// guest-kills (those never enter the event loop — the lifecycle study
-// consumes them from the kill list instead).
-TEST(MachineFaultSessionTest, ObsCountersMatchExpandedPlan) {
-  FaultPlan plan;
-  FaultSpec crash;
-  crash.kind = FaultKind::kCrash;
-  crash.rate_per_day = 3.0;
-  crash.mean_minutes = 10.0;
-  plan.specs.push_back(crash);
-  FaultSpec drop;
-  drop.kind = FaultKind::kSensorDropout;
-  drop.at_hours = {2.0, 30.0, 50.0};
-  drop.duration_minutes = 5.0;
-  plan.specs.push_back(drop);
-  FaultSpec skew;
-  skew.kind = FaultKind::kClockSkew;
-  skew.rate_per_day = 1.0;
-  skew.mean_minutes = 8.0;
-  skew.skew_ms = 300.0;
-  plan.specs.push_back(skew);
-  FaultSpec kill;
-  kill.kind = FaultKind::kGuestKill;
-  kill.at_hours = {5.0, 20.0};
-  plan.specs.push_back(kill);
-
-  const std::uint32_t machines = 3;
-  const SimTime begin = SimTime::epoch();
-  const SimTime end = begin + SimDuration::days(4);
-  const FaultInjector injector(plan, 11, machines, begin, end);
-
-  // Ground truth: per-kind totals of the deterministic expansion.
-  std::size_t expected[kFaultKindCount] = {};
-  for (const auto& ev : injector.events()) {
-    ++expected[static_cast<int>(ev.kind)];
-  }
-  ASSERT_GT(expected[static_cast<int>(FaultKind::kCrash)], 0u);
-  ASSERT_EQ(expected[static_cast<int>(FaultKind::kSensorDropout)],
-            3u * machines);
-  ASSERT_GT(expected[static_cast<int>(FaultKind::kClockSkew)], 0u);
-  ASSERT_EQ(expected[static_cast<int>(FaultKind::kGuestKill)], 2u * machines);
-
-  obs::Observer observer;
-  {
-    obs::ScopedObserver guard(&observer);
-    for (std::uint32_t m = 0; m < machines; ++m) {
-      MachineFaultSession session(injector, m);
-      sim::Simulation simulation;
-      session.schedule(simulation);
-      simulation.run_until(end + SimDuration::hours(2));
-    }
-  }
-
-  auto count = [&](const char* kind) {
-    return observer.metrics()
-        .counter("fault.injected", {{"kind", kind}})
-        .value();
-  };
-  EXPECT_EQ(count("crash"), expected[static_cast<int>(FaultKind::kCrash)]);
-  EXPECT_EQ(count("dropout"),
-            expected[static_cast<int>(FaultKind::kSensorDropout)]);
-  EXPECT_EQ(count("skew"), expected[static_cast<int>(FaultKind::kClockSkew)]);
-  EXPECT_EQ(count("guest-kill"), 0u)
-      << "guest kills are not scheduled through the event loop";
-}
-
-// Running the same sessions twice under two observers yields identical
-// counter totals — injection accounting is as replayable as the events.
-TEST(MachineFaultSessionTest, ObsCountersAreDeterministicAcrossRuns) {
-  FaultPlan plan = rate_plan(5.0, 15.0);
-  const FaultInjector injector(plan, 99, 2, SimTime::epoch(),
-                               SimTime::epoch() + SimDuration::days(3));
-  auto run_once = [&]() {
-    obs::Observer observer;
-    {
-      obs::ScopedObserver guard(&observer);
-      for (std::uint32_t m = 0; m < 2; ++m) {
-        MachineFaultSession session(injector, m);
-        sim::Simulation simulation;
-        session.schedule(simulation);
-        simulation.run_all();
-      }
-    }
-    return observer.metrics()
-        .counter("fault.injected", {{"kind", "crash"}})
-        .value();
-  };
-  const auto first = run_once();
-  EXPECT_GT(first, 0u);
-  EXPECT_EQ(first, run_once());
 }
 
 }  // namespace

@@ -33,8 +33,9 @@ TEST(ObsIntegration, TestbedMachineMetricsMatchGroundTruth) {
     detail = core::run_testbed_machine_detailed(config, 0);
   }
 
-  // Every monitor sample is one simulation event: one periodic task firing
-  // every sample_period over `days` days.
+  // Without faults the walk reports one simulation event per monitor
+  // sample (the event loop it mirrors fired one periodic task every
+  // sample_period over `days` days).
   const auto expected_samples = static_cast<std::uint64_t>(
       config.days * 86400 /
       static_cast<std::int64_t>(config.policy.sample_period.as_seconds()));

@@ -14,6 +14,7 @@
 #include "fgcs/monitor/state_timeline.hpp"
 #include "fgcs/os/machine.hpp"
 #include "fgcs/sim/simulation.hpp"
+#include "fgcs/testkit/reference_walk.hpp"
 #include "fgcs/util/rng.hpp"
 #include "fgcs/workload/synthetic.hpp"
 
@@ -239,7 +240,7 @@ ChaosOutcome run_chaos_machine(bool fast_forward, std::uint64_t seed) {
   const SimTime begin = SimTime::epoch();
   const SimTime end = begin + SimDuration::hours(2);
   const fault::FaultInjector injector(plan, seed, 1, begin, end);
-  fault::MachineFaultSession session(injector, 0);
+  testkit::MachineFaultSession session(injector, 0);
 
   sim::Simulation simulation;
   session.schedule(simulation);
@@ -250,7 +251,7 @@ ChaosOutcome run_chaos_machine(bool fast_forward, std::uint64_t seed) {
     monitor::MachineSampler& sampler;
     monitor::UnavailabilityDetector& detector;
     monitor::GuestController& controller;
-    fault::MachineFaultSession& session;
+    testkit::MachineFaultSession& session;
     sim::Simulation& simulation;
     ChaosOutcome& out;
     os::ProcessId guest;

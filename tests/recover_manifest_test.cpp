@@ -3,6 +3,8 @@
 // plan_resume's validate-everything semantics.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -62,10 +64,14 @@ SweepIdentity sample_identity() {
 class ManifestDirTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // One directory per test and process: ctest runs these tests as
+    // concurrent processes, which must not share (and delete) a dir.
     dir_ = (fs::temp_directory_path() /
             ("recover_manifest_test." +
-             std::to_string(::testing::UnitTest::GetInstance()
-                                ->random_seed())))
+             std::string(::testing::UnitTest::GetInstance()
+                             ->current_test_info()
+                             ->name()) +
+             "." + std::to_string(::getpid())))
                .string();
     fs::remove_all(dir_);
     fs::create_directories(dir_);
